@@ -25,35 +25,40 @@ let mode_of_string = function
   | "acpp" | "adaptivecpp" -> Ok Driver.Adaptive_cpp
   | s -> Error (`Msg ("unknown mode " ^ s ^ " (dpcpp|sycl-mlir|acpp)"))
 
-let report (w : Common.workload) (m : Common.measurement) =
-  let r = m.Common.m_result in
-  Printf.printf "%s under %s\n" w.Common.w_name (Driver.mode_to_string m.Common.m_mode);
-  Printf.printf "  validation: %s\n" (if m.Common.m_valid then "PASSED" else "FAILED");
-  Printf.printf "  total cycles: %d\n" m.Common.m_cycles;
-  Printf.printf "    device:          %d\n" r.Sycl_runtime.Host_interp.device_cycles;
+(** The cycle breakdown of one run, then each launch's statistics. The
+    listed components add up to the total exactly; the one-time JIT
+    charge is left out of both, as in [Common.measure]. *)
+let print_breakdown (r : Sycl_runtime.Host_interp.run_result) =
+  let module H = Sycl_runtime.Host_interp in
+  Printf.printf "  total cycles: %d\n" (r.H.total_cycles - r.H.jit_cycles);
+  Printf.printf "    device:          %d\n" r.H.device_cycles;
   Printf.printf "    launch overhead: %d (%d launches)\n"
-    r.Sycl_runtime.Host_interp.launch_overhead_cycles
-    r.Sycl_runtime.Host_interp.kernel_launches;
-  Printf.printf "    transfers:       %d\n" r.Sycl_runtime.Host_interp.transfer_cycles;
+    r.H.launch_overhead_cycles r.H.kernel_launches;
+  Printf.printf "    transfers:       %d\n" r.H.transfer_cycles;
   Printf.printf "    scheduler:       %d (%d dependency edges)\n"
-    r.Sycl_runtime.Host_interp.scheduler_cycles
-    r.Sycl_runtime.Host_interp.dependency_edges;
+    r.H.scheduler_cycles r.H.dependency_edges;
   List.iter
     (fun (name, s) ->
       Format.printf "  kernel %-18s %a@." name Sycl_sim.Cost.pp_launch_stats s)
-    r.Sycl_runtime.Host_interp.per_kernel;
+    r.H.per_kernel
+
+let report (w : Common.workload) (m : Common.measurement) =
+  Printf.printf "%s under %s\n" w.Common.w_name (Driver.mode_to_string m.Common.m_mode);
+  Printf.printf "  validation: %s\n" (if m.Common.m_valid then "PASSED" else "FAILED");
+  print_breakdown m.Common.m_result;
   if Mlir.Pass.Stats.to_list m.Common.m_stats <> [] then begin
     Printf.printf "  compile-time statistics:\n";
     Format.printf "%a@?" Mlir.Pass.Stats.pp m.Common.m_stats
   end
 
-(** Write the run's charge timeline as Chrome-trace JSON and print the
-    per-kernel profile table derived from the same events. *)
+(** Write the run's charge timeline as Chrome-trace JSON (host-runtime
+    and device lanes of the unified trace) and print the per-kernel
+    profile table derived from the same events. *)
 let write_profile (m : Common.measurement) path =
   let events = m.Common.m_result.Sycl_runtime.Host_interp.events in
   (try
      Out_channel.with_open_text path (fun oc ->
-         output_string oc (Sycl_sim.Profile.to_chrome_json events))
+         output_string oc (Sycl_sim.Profile.trace_document events))
    with Sys_error msg ->
      Printf.eprintf "error: cannot write trace: %s\n" msg;
      exit 1);
@@ -216,26 +221,17 @@ let write_cache_surfaces ~annotate ~cache_json
           exit 1)
       cache_json
 
-let run_mlir_file cfg ~path ~size ~annotate ~attribution_json ~annotated_ir
-    ~cache_json =
-  match Annotate.run_file cfg ~size path with
+let run_mlir_file cfg ?sim_domains ?check_races ?cache_model ~path ~size
+    ~annotate ~attribution_json ~annotated_ir ~cache_json () =
+  match
+    Annotate.run_file cfg ~size ?sim_domains ?check_races ?cache_model path
+  with
   | exception Annotate.File_error msg ->
     Printf.eprintf "error: %s: %s\n" path msg;
     exit 2
   | m, r ->
     Printf.printf "%s (size %d)\n" path size;
-    Printf.printf "  total cycles: %d\n" r.Sycl_runtime.Host_interp.total_cycles;
-    Printf.printf "    device:          %d\n"
-      r.Sycl_runtime.Host_interp.device_cycles;
-    Printf.printf "    launch overhead: %d (%d launches)\n"
-      r.Sycl_runtime.Host_interp.launch_overhead_cycles
-      r.Sycl_runtime.Host_interp.kernel_launches;
-    Printf.printf "    transfers:       %d\n"
-      r.Sycl_runtime.Host_interp.transfer_cycles;
-    List.iter
-      (fun (name, s) ->
-        Format.printf "  kernel %-18s %a@." name Sycl_sim.Cost.pp_launch_stats s)
-      r.Sycl_runtime.Host_interp.per_kernel;
+    print_breakdown r;
     (match Annotate.check_conservation r with
     | Ok () -> ()
     | Error msg ->
@@ -251,24 +247,21 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
     check_races cache_model cache_json annotate file_arg size attribution_json
     annotated_ir delta =
   if list_flag then (list_workloads (); exit 0);
-  Option.iter Sycl_sim.Interp.set_default_domains sim_domains;
-  if check_races then Sycl_sim.Interp.set_default_check_races true;
-  Option.iter Sycl_sim.Interp.set_default_cache_model cache_model;
   let want_attribution =
     annotate || attribution_json <> None || annotated_ir <> None
+  in
+  let config mode =
+    Driver.config ~enable_licm:(not no_licm)
+      ~enable_reduction:(not no_reduction)
+      ~enable_internalization:(not no_internalization)
+      ~enable_host_device:(not no_hostdev)
+      ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
   in
   try
   match file_arg with
   | Some path ->
-    let cfg =
-      Driver.config ~enable_licm:(not no_licm)
-        ~enable_reduction:(not no_reduction)
-        ~enable_internalization:(not no_internalization)
-        ~enable_host_device:(not no_hostdev)
-        ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
-    in
-    run_mlir_file cfg ~path ~size ~annotate ~attribution_json ~annotated_ir
-      ~cache_json
+    run_mlir_file (config mode) ?sim_domains ?check_races ?cache_model ~path
+      ~size ~annotate ~attribution_json ~annotated_ir ~cache_json ()
   | None ->
   match bench with
   | None ->
@@ -285,26 +278,25 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
          virtual file name (semantically identical — see Annotate). *)
       let orig_w = w in
       let w = if want_attribution then Annotate.located_workload w else w in
-      let config mode =
-        Driver.config ~enable_licm:(not no_licm)
-          ~enable_reduction:(not no_reduction)
-          ~enable_internalization:(not no_internalization)
-          ~enable_host_device:(not no_hostdev)
-          ~enable_alias_refinement:(not no_hostdev) ~enable_fusion:fusion mode
+      let measure ?instrumentations cfg =
+        Common.measure ?instrumentations ?sim_domains ?check_races
+          ?cache_model cfg w
       in
       if delta then begin
-        let ds, _remarks = Annotate.delta_report orig_w in
+        let ds, _remarks =
+          Annotate.delta_report ?sim_domains ?check_races ?cache_model orig_w
+        in
         print_string (Sycl_sim.Attribution.delta_to_string ds)
       end
       else if compare then begin
-        let base = Common.measure (config Driver.Dpcpp) w in
+        let base = measure (config Driver.Dpcpp) in
         report w base;
         print_newline ();
-        let opt = Common.measure (config Driver.Sycl_mlir) w in
+        let opt = measure (config Driver.Sycl_mlir) in
         report w opt;
         Printf.printf "\nspeedup SYCL-MLIR over DPC++: %.2fx\n"
           (Common.speedup base opt);
-        (match Common.measure (config Driver.Adaptive_cpp) w with
+        (match measure (config Driver.Adaptive_cpp) with
         | acpp when acpp.Common.m_valid ->
           Printf.printf "speedup AdaptiveCpp over DPC++: %.2fx\n"
             (Common.speedup base acpp)
@@ -317,7 +309,7 @@ let run list_flag bench mode compare no_licm no_reduction no_internalization
         let instrumentations =
           if trace_json <> None then [ Mlir.Instrument.timing tm ] else []
         in
-        let m = Common.measure ~instrumentations (config mode) w in
+        let m = measure ~instrumentations (config mode) in
         report w m;
         let attribution =
           if want_attribution then begin
@@ -396,42 +388,6 @@ let trace_json_arg =
               separate lanes of a shared timeline. Single-mode runs only \
               (not $(b,--compare)).")
 
-let sim_domains_arg =
-  Arg.(value & opt (some int) None
-       & info [ "sim-domains" ] ~docv:"N"
-           ~doc:
-             "Execute the simulated device's work-groups on $(docv) worker \
-              domains (default: the recommended domain count). Results are \
-              bit-identical to the sequential backend.")
-
-let check_races_arg =
-  Arg.(value & flag
-       & info [ "sim-check-races" ]
-           ~doc:
-             "Record per-work-group write footprints and fail when two \
-              work-groups of one launch write overlapping global locations \
-              (a violation of SYCL's inter-group independence).")
-
-let cache_model_conv =
-  Arg.conv
-    ( (fun s ->
-        match Sycl_sim.Cost.model_of_string s with
-        | Some m -> Ok m
-        | None -> Error (`Msg ("unknown cache model " ^ s ^ " (flat|dm|assoc)"))),
-      fun fmt m ->
-        Format.pp_print_string fmt (Sycl_sim.Cost.model_to_string m) )
-
-let cache_model_arg =
-  Arg.(value & opt (some cache_model_conv) None
-       & info [ "cache-model" ] ~docv:"MODEL"
-           ~doc:
-             "Simulate a per-core data cache over the coalesced global \
-              transactions: $(b,dm) (direct-mapped), $(b,assoc) \
-              (set-associative LRU) or $(b,flat) (no cache — the default, \
-              byte-identical to previous releases). Launch statistics gain \
-              hit/miss/eviction/memory-wait counters with \
-              hits + misses = global transactions exactly.")
-
 let cache_json_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-json" ] ~docv:"FILE"
@@ -500,7 +456,7 @@ let cmd =
           $ flag "no-host-device" "Disable host-device propagation."
           $ flag "fusion" "Enable compile-time kernel fusion."
           $ profile_json_arg $ metrics_json_arg $ trace_json_arg
-          $ sim_domains_arg $ check_races_arg $ cache_model_arg
+          $ Sim_flags.sim_domains $ Sim_flags.check_races $ Sim_flags.cache_model
           $ cache_json_arg $ annotate_arg $ file_arg $ size_arg
           $ attribution_json_arg $ annotated_ir_arg $ delta_arg)
 

@@ -289,14 +289,7 @@ let run_service ~serve ~jobs ~repeat ~cache_size ~out_dir ~metrics_json
 
 let run passes verify stats stats_json timing remarks remarks_json
     metrics_json trace_json print_analysis dump_before dump_after debuginfo
-    rewrite_driver batch serve jobs repeat cache_size out_dir inputs =
-  (match Mlir.Rewrite.driver_of_string rewrite_driver with
-  | Some d -> Mlir.Rewrite.set_default_driver d
-  | None ->
-    Printf.eprintf
-      "error: unknown --rewrite-driver %s (expected worklist or legacy)\n"
-      rewrite_driver;
-    exit 2);
+    batch serve jobs repeat cache_size out_dir inputs =
   Dialects.Register.init ();
   Sycl_core.Sycl_ops.init ();
   Sycl_core.Sycl_host_ops.init ();
@@ -616,15 +609,6 @@ let debuginfo_arg =
                  (MLIR's -mlir-print-debuginfo). Off by default, so output \
                  is unchanged for tools that do not understand locations.")
 
-let rewrite_driver_arg =
-  Arg.(value & opt string "worklist"
-       & info [ "rewrite-driver" ] ~docv:"DRIVER"
-           ~doc:
-             "Greedy-rewrite driver: $(b,worklist) (use-def-driven, runs to \
-              a true fixpoint; the default) or $(b,legacy) (the old bounded \
-              whole-module re-walk, kept for before/after comparisons — it \
-              can stop before fixpoint on deep fold chains).")
-
 let batch_arg =
   Arg.(value & flag
        & info [ "batch" ]
@@ -685,7 +669,7 @@ let cmd =
     Term.(const run $ passes_arg $ verify_arg $ stats_arg $ stats_json_arg
           $ timing_arg $ remarks_arg $ remarks_json_arg $ metrics_json_arg
           $ trace_json_arg $ print_analysis_arg $ dump_before_arg
-          $ dump_after_arg $ debuginfo_arg $ rewrite_driver_arg $ batch_arg
+          $ dump_after_arg $ debuginfo_arg $ batch_arg
           $ serve_arg $ jobs_arg $ repeat_arg $ cache_size_arg $ out_dir_arg
           $ input_arg)
 

@@ -22,8 +22,6 @@
 
 open Mlir
 
-let fused_counter = ref 0
-
 (* ------------------------------------------------------------------ *)
 (* Safety analysis                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -180,12 +178,20 @@ let construction_only_between (block : Core.block) (a : Core.op) (b : Core.op) =
 let item_type (kernel : Core.op) =
   (List.hd (Core.block_args (Core.func_body kernel))).Core.vty
 
-let build_fused (m : Core.op) (a : site) (b : site) : Core.op =
-  incr fused_counter;
-  let name =
-    Printf.sprintf "%s_%s_fused%d" (Core.func_sym a.s_kernel)
-      (Core.func_sym b.s_kernel) !fused_counter
+(* The fused kernel's symbol: the constituents' names plus the smallest
+   suffix not already taken in [m]. Derived from the module alone, so
+   the same program compiles to the same text whatever the process (or
+   a concurrent compile) fused before. *)
+let fused_name (m : Core.op) (a : Core.op) (b : Core.op) =
+  let base = Printf.sprintf "%s_%s_fused" (Core.func_sym a) (Core.func_sym b) in
+  let rec pick n =
+    let name = base ^ string_of_int n in
+    if Core.lookup_func m name = None then name else pick (n + 1)
   in
+  pick 1
+
+let build_fused (m : Core.op) (a : site) (b : site) : Core.op =
+  let name = fused_name m a.s_kernel b.s_kernel in
   let args_a = List.tl (Core.block_args (Core.func_body a.s_kernel)) in
   let args_b = List.tl (Core.block_args (Core.func_body b.s_kernel)) in
   let arg_tys =

@@ -142,13 +142,14 @@ let visit_op ~on_rewrite ~count patterns op =
 
 let no_rewrite = fun ~func:(_ : string) (_ : string) (_ : Core.op) -> ()
 
-(** The seed driver, kept for differential testing: re-walk the whole
-    scope until nothing changes or [max_iterations] sweeps have run. It
-    can stop {e before} fixpoint — silently — which is exactly the bug
-    the worklist driver fixes; [rw_converged] reports whether the last
-    sweep was quiescent. *)
-let apply_greedily_legacy ?(max_iterations = 10) ?(on_rewrite = no_rewrite)
-    (top : Core.op) patterns =
+(** The seed driver, kept only as the reference that fuzz oracle (h) and
+    the deep-chain tests compare {!apply_greedily} against; no pass
+    calls it. Re-walks the whole scope until nothing changes or 10
+    sweeps (the seed's cap) have run. It can stop {e before} fixpoint —
+    silently — which is exactly the bug the worklist driver fixes;
+    [rw_converged] reports whether the last sweep was quiescent. *)
+let apply_greedily_legacy (top : Core.op) patterns =
+  let max_iterations = 10 in
   let total = ref 0 in
   let visited = ref 0 in
   let changed = ref true in
@@ -168,20 +169,25 @@ let apply_greedily_legacy ?(max_iterations = 10) ?(on_rewrite = no_rewrite)
             incr total;
             changed := true
           in
-          ignore (visit_op ~on_rewrite ~count patterns op)
+          ignore (visit_op ~on_rewrite:no_rewrite ~count patterns op)
         end)
       (List.rev !ops)
   done;
   { rw_rewrites = !total; rw_ops_visited = !visited; rw_converged = not !changed }
 
-(** Worklist driver: seed with every op in pre-order, then re-enqueue
-    only what a rewrite may have changed — the users of replaced values,
-    the defining ops of dropped operands (they may be dead now), the
-    parents of erased ops, and newly inserted ops. Runs to a true
-    fixpoint with cost proportional to rewrites performed; a scope that
-    keeps rewriting past [cap] raises {!Cap_exceeded} instead of
-    silently returning half-canonicalized IR. *)
-let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
+(** Apply [patterns] plus folding and dead-op erasure to fixpoint over
+    [top] and everything nested in it, with a worklist: seed with every
+    op in pre-order, then re-enqueue only what a rewrite may have
+    changed — the users of replaced values, the defining ops of dropped
+    operands (they may be dead now), the parents of erased ops, and
+    newly inserted ops. Runs to a true fixpoint with cost proportional
+    to rewrites performed; a scope that keeps rewriting past [cap]
+    raises {!Cap_exceeded} instead of silently returning
+    half-canonicalized IR. [on_rewrite] fires once per rewrite with the
+    enclosing function's symbol (captured before the rewrite, since the
+    op may be erased by it), the kind ("fold", "dce", or the pattern
+    name) and the rewritten op. *)
+let apply_greedily ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
   let queue = Queue.create () in
   let queued : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let enqueue op =
@@ -239,36 +245,3 @@ let apply_worklist ?cap ?(on_rewrite = no_rewrite) (top : Core.op) patterns =
         end
       done);
   { rw_rewrites = !total; rw_ops_visited = !visited; rw_converged = true }
-
-(* ------------------------------------------------------------------ *)
-(* Driver selection                                                    *)
-(* ------------------------------------------------------------------ *)
-
-type driver =
-  | Worklist
-  | Legacy
-
-let driver_of_string = function
-  | "worklist" -> Some Worklist
-  | "legacy" -> Some Legacy
-  | _ -> None
-
-let driver_to_string = function Worklist -> "worklist" | Legacy -> "legacy"
-
-(* Process-global so `sycl-mlir-opt --rewrite-driver legacy` can pin the
-   seed behaviour for before/after byte-identical comparisons. *)
-let default_driver : driver Atomic.t = Atomic.make Worklist
-
-let set_default_driver d = Atomic.set default_driver d
-let get_default_driver () = Atomic.get default_driver
-
-(** Apply [patterns] plus folding and dead-op erasure to fixpoint over
-    [top] and everything nested in it, with the process-default driver.
-    [on_rewrite] fires once per rewrite with the enclosing function's
-    symbol (captured before the rewrite, since the op may be erased by
-    it), the kind ("fold", "dce", or the pattern name) and the rewritten
-    op — callers use it for per-pattern statistics and remarks. *)
-let apply_greedily ?on_rewrite (top : Core.op) patterns =
-  match Atomic.get default_driver with
-  | Worklist -> apply_worklist ?on_rewrite top patterns
-  | Legacy -> apply_greedily_legacy ?on_rewrite top patterns

@@ -46,51 +46,28 @@ type stats = {
     purpose: the legacy driver's silent stop is the bug this replaces. *)
 exception Cap_exceeded of { scope : string; rewrites : int; cap : int }
 
-(** Worklist driver: seed with every op, re-enqueue only the users of
+(** Apply patterns plus folding and dead-op erasure to fixpoint with the
+    worklist driver: seed with every op, re-enqueue only the users of
     replaced values, the defining ops of dropped operands, the parents
     of erased ops, and newly inserted ops. Runs to a true fixpoint with
     cost proportional to rewrites performed. [cap] bounds the number of
     rewrites (default: generous, proportional to the scope size);
-    exceeding it raises {!Cap_exceeded}. *)
-val apply_worklist :
+    exceeding it raises {!Cap_exceeded}. [on_rewrite] fires once per
+    rewrite with the enclosing function's symbol (captured before the
+    rewrite), the kind ("fold", "dce", or the pattern name) and the
+    rewritten op. *)
+val apply_greedily :
   ?cap:int ->
   ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
   Core.op ->
   pattern list ->
   stats
 
-(** The seed driver, kept for differential testing ({e fuzz oracle (h)})
-    and the [--rewrite-driver legacy] flag: re-walks the whole scope up
-    to [max_iterations] times and can stop silently before fixpoint
-    ([rw_converged = false]). *)
+(** The seed driver, kept only as the reference that fuzz oracle (h)
+    and the deep-chain tests compare {!apply_greedily} against; no pass
+    calls it. Re-walks the whole scope at most 10 times (the seed's cap)
+    and can stop silently before fixpoint ([rw_converged = false]). *)
 val apply_greedily_legacy :
-  ?max_iterations:int ->
-  ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
-  Core.op ->
-  pattern list ->
-  stats
-
-(** {2 Driver selection} *)
-
-type driver =
-  | Worklist  (** the default: use-def-driven, true fixpoint *)
-  | Legacy  (** bounded re-walk, seed behaviour *)
-
-val driver_of_string : string -> driver option
-val driver_to_string : driver -> string
-
-(** Process-global default used by {!apply_greedily} (set from
-    [sycl-mlir-opt --rewrite-driver]). Initially [Worklist]. *)
-val set_default_driver : driver -> unit
-
-val get_default_driver : unit -> driver
-
-(** Apply patterns plus folding and dead-op erasure to fixpoint with the
-    process-default driver. [on_rewrite] fires once per rewrite with the
-    enclosing function's symbol (captured before the rewrite), the kind
-    ("fold", "dce", or the pattern name) and the rewritten op. *)
-val apply_greedily :
-  ?on_rewrite:(func:string -> string -> Core.op -> unit) ->
   Core.op ->
   pattern list ->
   stats

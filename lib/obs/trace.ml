@@ -151,8 +151,8 @@ let add_timing ?(root_name = "compile") (sk : sink)
 (* Chrome trace export                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Within the host-runtime lane, transfers get their own thread row
-   (mirroring Sim.Profile's layout); every other lane is single-row. *)
+(* Within the host-runtime lane, transfers get their own thread row;
+   every other lane is single-row. *)
 let tid_of_span (sp : span) =
   match (sp.sp_lane, sp.sp_cat) with Host, "transfer" -> 2 | _ -> 1
 

@@ -81,9 +81,9 @@ type state = {
   launch_hook : (Core.op -> launch_info -> unit) option;
   jit_cycles_per_kernel : int;
   jitted : (string, unit) Hashtbl.t;
-  sim_domains : int option;  (* simulator backend knobs; None = defaults *)
-  check_races : bool option;
-  cache_model : Cost.cache_model option;
+  sim_domains : int;  (* simulator backend settings *)
+  check_races : bool;
+  cache_model : Cost.cache_model;
   recorder : Profile.recorder;
   metrics : Metrics.registry;
   mutable r_device : int;
@@ -338,22 +338,17 @@ let launch_kernel st (q : Objects.queue) (h : Objects.handler) =
   (* The cache table follows the same rule, but only exists under a
      non-flat --cache-model: the flat model simulates no cache, so there
      is nothing to collect and [per_kernel_cache] stays empty. *)
-  let cache_model =
-    match st.cache_model with
-    | Some m -> m
-    | None -> Interp.default_cache_model ()
-  in
   let cache =
-    match cache_model with
+    match st.cache_model with
     | Cost.Flat -> None
     | Cost.Direct_mapped | Cost.Set_associative ->
       Some (Sycl_sim.Cache.create_table ())
   in
   let stats =
-    Interp.launch ~params:st.params ?domains:st.sim_domains
-      ?check_races:st.check_races ~metrics:st.metrics ~attribution
-      ~cache_model ?cache ~module_op:st.module_op ~kernel ~args ~global
-      ~wg_size:wg ()
+    Interp.launch ~params:st.params ~domains:st.sim_domains
+      ~check_races:st.check_races ~metrics:st.metrics ~attribution
+      ~cache_model:st.cache_model ?cache ~module_op:st.module_op ~kernel ~args
+      ~global ~wg_size:wg ()
   in
   let dev_cycles = Cost.device_cycles st.params stats in
   st.r_device <- st.r_device + dev_cycles;
@@ -575,8 +570,9 @@ and exec_op st (op : Core.op) : [ `Next | `Yield of hv list ] =
 (** Execute host function [main] of [module_op]. [main_args.(i)] binds the
     i-th host argument, typically host data arrays wrapped as
     [Scalar (Interp.Mem view)]. *)
-let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0) ?sim_domains
-    ?check_races ?cache_model ~(module_op : Core.op) ?(main = "main")
+let run ?(params = Cost.default) ?launch_hook ?(jit_cycles = 0)
+    ?(sim_domains = Interp.default_domains) ?(check_races = false)
+    ?(cache_model = Cost.Flat) ~(module_op : Core.op) ?(main = "main")
     (main_args : hv list) : run_result =
   let f =
     match Core.lookup_func module_op main with

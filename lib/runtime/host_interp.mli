@@ -67,8 +67,10 @@ type run_result = {
     launch information; [jit_cycles] is charged at the same time.
     [sim_domains], [check_races] and [cache_model] are passed through
     to every {!Interp.launch} (simulator backend selection, cross-group
-    race checking and cache-hierarchy model); when omitted the
-    simulator's process-wide defaults apply. *)
+    race checking and cache-hierarchy model). They are explicit and
+    immutable for the whole run: when omitted, [sim_domains] is
+    {!Interp.default_domains}, [check_races] is [false] and
+    [cache_model] is [Cost.Flat]. *)
 val run :
   ?params:Cost.params ->
   ?launch_hook:(Core.op -> launch_info -> unit) ->

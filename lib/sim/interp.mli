@@ -74,38 +74,29 @@ val describe_race : race -> string
 
 (** {1 Backend defaults}
 
-    Process-wide defaults behind the [--sim-domains] and
-    [--sim-check-races] CLI flags. The domain count starts at
-    [Domain.recommended_domain_count ()], or at [SYCL_SIM_DOMAINS] when
-    that environment variable is set (how CI forces a whole test run
-    onto the parallel backend). *)
+    Every backend setting is an explicit argument of {!launch}; nothing
+    is process-global or mutable. The only default that is not a
+    constant is the domain count: [SYCL_SIM_DOMAINS] when that
+    environment variable is set (read once, at start-up — how CI forces
+    a whole test run onto the parallel backend), else
+    [Domain.recommended_domain_count ()]. *)
 
-val set_default_domains : int -> unit
-val default_domain_count : unit -> int
-val set_default_check_races : bool -> unit
-val default_check_races : unit -> bool
-
-(** Process-wide default behind the [--cache-model] flag. [Cost.Flat]
-    (the initial value) keeps every output surface byte-identical to the
-    pre-cache behaviour. *)
-val set_default_cache_model : Cost.cache_model -> unit
-
-val default_cache_model : unit -> Cost.cache_model
+val default_domains : int
 
 (** Launch [kernel] over [global] with work-groups of [wg_size].
     [args.(i)] binds kernel argument [i]; the item-like argument must be
     bound to {!Item}. Every dimension of [global] must be divisible by
     the corresponding [wg_size]. Returns accumulated launch statistics.
 
-    [domains] (default {!default_domain_count}) selects the backend:
+    [domains] (default {!default_domains}) selects the backend:
     [1] executes work-groups sequentially in canonical order; [> 1]
     partitions the canonical order into balanced contiguous chunks run
     on worker domains, each accumulating private statistics that are
     merged in chunk order — the returned stats are bit-identical to the
     sequential backend's, and a failing group raises the same exception
     the sequential backend would (the canonically first failure).
-    [check_races] (default {!default_check_races}) records per-group
-    write footprints and raises {!Race_detected} on overlap.
+    [check_races] (default [false]) records per-group write footprints
+    and raises {!Race_detected} on overlap.
     [metrics] receives device execution counters ([sim.work_groups],
     [sim.work_items], [sim.barriers]) recorded through per-domain shards
     merged in canonical chunk order, so its contents are independent of
@@ -116,8 +107,9 @@ val default_cache_model : unit -> Cost.cache_model
     merged in canonical chunk order — output is byte-identical whatever
     the domain count, and per-launch totals conserve against the
     returned stats exactly ({!Attribution.conserves}).
-    [cache_model] (default {!default_cache_model}) selects the per-core
-    data cache simulated over the coalesced global transactions; under a
+    [cache_model] (default [Cost.Flat], byte-identical to the cache-less
+    simulator) selects the per-core data cache simulated over the
+    coalesced global transactions; under a
     non-flat model the launch stats carry hit/miss/eviction/memory-wait
     counters with [hits + misses = global_transactions] exactly, and
     [cache] (when given) receives per-op cache counters and the exact

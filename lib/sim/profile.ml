@@ -237,56 +237,6 @@ let pp_table fmt (ps : kernel_profile list) =
     ps
 
 (* ------------------------------------------------------------------ *)
-(* Chrome trace export                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* One process, one thread per charge category, so the viewer renders
-   host bookkeeping, transfers and device execution as separate rows. *)
-let tid_of_cat = function
-  | "kernel" -> 3
-  | "transfer" -> 2
-  | _ -> 1 (* submit / launch / jit: host runtime *)
-
-let thread_names = [ (1, "host runtime"); (2, "transfers"); (3, "device") ]
-
-(** Serialize events as a Chrome-trace JSON document ([traceEvents],
-    complete events [ph:"X"], 1 cycle = 1 us) for chrome://tracing or
-    Perfetto. Serialization goes through the shared {!Mlir.Json} writer
-    so event names with arbitrary bytes stay valid JSON. *)
-let to_chrome_json (evs : event list) : string =
-  let open Mlir.Json in
-  let meta (tid, name) =
-    Obj
-      [
-        ("name", String "thread_name");
-        ("ph", String "M");
-        ("pid", Int 1);
-        ("tid", Int tid);
-        ("args", Obj [ ("name", String name) ]);
-      ]
-  in
-  let ev (e : event) =
-    Obj
-      [
-        ("name", String e.ev_name);
-        ("cat", String e.ev_cat);
-        ("ph", String "X");
-        ("ts", Int e.ev_ts);
-        ("dur", Int e.ev_dur);
-        ("pid", Int 1);
-        ("tid", Int (tid_of_cat e.ev_cat));
-        ("args", Obj (List.map (fun (k, v) -> (k, Int v)) e.ev_args));
-      ]
-  in
-  to_string
-    (Obj
-       [
-         ("traceEvents", List (List.map meta thread_names @ List.map ev evs));
-         ("displayTimeUnit", String "ms");
-       ])
-  ^ "\n"
-
-(* ------------------------------------------------------------------ *)
 (* Conversion into the unified telemetry trace                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -308,3 +258,8 @@ let trace_spans ?(base = 0) (evs : event list) : Sycl_obs.Trace.span list =
         sp_args = e.ev_args;
       })
     evs
+
+(** The standalone trace document ([--profile-json], [bench profile]):
+    {!trace_spans} serialised by [Sycl_obs.Trace.to_json], one line. *)
+let trace_document (evs : event list) : string =
+  Mlir.Json.to_string (Sycl_obs.Trace.to_json (trace_spans evs)) ^ "\n"

@@ -1,5 +1,6 @@
 (** Simulator trace profiling: a timeline of every cost-model charge in
-    a run, exportable as Chrome-trace JSON (chrome://tracing, Perfetto),
+    a run, exportable as Chrome-trace JSON (chrome://tracing, Perfetto)
+    through {!trace_spans} and [Sycl_obs.Trace.to_json],
     plus per-kernel profiles aggregated from the same events.
 
     Time convention: 1 simulated cycle = 1 us of trace time, so cycle
@@ -88,11 +89,11 @@ val of_events : event list -> kernel_profile list
 
 val pp_table : Format.formatter -> kernel_profile list -> unit
 
-(** Serialize as a Chrome-trace JSON document ([traceEvents], complete
-    events [ph:"X"], one process with host/transfer/device rows). *)
-val to_chrome_json : event list -> string
-
 (** Simulator events as unified-telemetry trace spans, shifted by [base]
     microseconds: cat ["kernel"] events land on the device lane, all
     other charges on the host-runtime lane. *)
 val trace_spans : ?base:int -> event list -> Sycl_obs.Trace.span list
+
+(** The whole trace file for [events]: {!trace_spans} as a
+    [Sycl_obs.Trace.to_json] document, newline-terminated. *)
+val trace_document : event list -> string

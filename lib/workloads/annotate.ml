@@ -80,9 +80,10 @@ let synth_args (m : Core.op) ~(size : int) : H.hv list =
 (** Parse [path], compile it under [cfg] and execute [main] with
     synthesized arguments. The parser stamps every op with its position
     in the file — under the basename, so the report (and any golden
-    comparison against it) is independent of the invocation directory. *)
-let run_file (cfg : Common.Driver.config) ?(size = 16) (path : string) :
-    Core.op * H.run_result =
+    comparison against it) is independent of the invocation directory.
+    [sim_domains], [check_races] and [cache_model] go to {!H.run}. *)
+let run_file (cfg : Common.Driver.config) ?(size = 16) ?sim_domains
+    ?check_races ?cache_model (path : string) : Core.op * H.run_result =
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error msg -> raise (File_error msg)
@@ -91,7 +92,7 @@ let run_file (cfg : Common.Driver.config) ?(size = 16) (path : string) :
   let m = Parser.parse_module ~file:(Filename.basename path) text in
   ignore (Common.Driver.compile cfg m);
   let args = synth_args m ~size in
-  (m, H.run ~module_op:m args)
+  (m, H.run ?sim_domains ?check_races ?cache_model ~module_op:m args)
 
 (* ------------------------------------------------------------------ *)
 (* Optimization-delta report                                           *)
@@ -103,15 +104,17 @@ let run_file (cfg : Common.Driver.config) ?(size = 16) (path : string) :
     ({!Attribution.delta}): each line's cycle delta lands next to the
     remarks that claimed it, with lines surviving only as
     [Fused]/[CallSite] constituents forwarded to the row carrying their
-    cycles. *)
-let delta_report (w : Common.workload) :
-    Attribution.delta_row list * Remarks.t list =
+    cycles. [sim_domains], [check_races] and [cache_model] go to both
+    runs. *)
+let delta_report ?sim_domains ?check_races ?cache_model (w : Common.workload)
+    : Attribution.delta_row list * Remarks.t list =
   let text = Printer.to_string (w.Common.w_module ()) in
   let parse () = Parser.parse_module ~file:(virtual_file w) text in
   let run_tab passes m =
     ignore (Pass.run_pipeline ~verify_each:false passes m);
     let args, _ = w.Common.w_data () in
-    merged_attribution (H.run ~module_op:m args)
+    merged_attribution
+      (H.run ?sim_domains ?check_races ?cache_model ~module_op:m args)
   in
   let before = run_tab (Differential.reference_pipeline ()) (parse ()) in
   let after, remarks =

@@ -164,9 +164,10 @@ let metrics_of (m : Common.measurement) : config_metrics =
     the located copy (printed and re-parsed under a virtual file name)
     measured under the SYCL-MLIR configuration. Deterministic — the
     simulator and the attribution's canonical ordering are. *)
-let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
+let top_hotspots ?(n = 3) ?sim_domains ?check_races ?cache_model
+    (w : Common.workload) : hotspot list =
   let m =
-    Common.measure
+    Common.measure ?sim_domains ?check_races ?cache_model
       (Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir)
       (Annotate.located_workload w)
   in
@@ -188,8 +189,10 @@ let top_hotspots ?(n = 3) (w : Common.workload) : hotspot list =
 (** The v6 cache section: compile the workload under SYCL-MLIR and run
     it once more with the direct-mapped cache model. Counters sum over
     every launch; the reuse percentiles come from the merged per-launch
-    histograms. *)
-let cache_of_workload (w : Common.workload) : cache_metrics =
+    histograms. The cache model is pinned; the domain count and race
+    checking are the caller's. *)
+let cache_of_workload ?sim_domains ?check_races (w : Common.workload) :
+    cache_metrics =
   let m = w.Common.w_module () in
   ignore
     (Sycl_core.Driver.compile
@@ -197,7 +200,8 @@ let cache_of_workload (w : Common.workload) : cache_metrics =
        m);
   let args, _ = w.Common.w_data () in
   let r =
-    Host_interp.run ~cache_model:Cost.Direct_mapped ~module_op:m args
+    Host_interp.run ?sim_domains ?check_races ~cache_model:Cost.Direct_mapped
+      ~module_op:m args
   in
   let sum f =
     List.fold_left (fun acc (_, s) -> acc + f s) 0 r.Host_interp.per_kernel
@@ -264,7 +268,8 @@ let compile_of_comparison (c : Common.comparison) : compile_metrics =
     co_wall_us = wall_us;
   }
 
-let entry_of_comparison (c : Common.comparison) : entry =
+let entry_of_comparison ?sim_domains ?check_races ?cache_model
+    (c : Common.comparison) : entry =
   let w = c.Common.c_workload in
   {
     e_name = w.Common.w_name;
@@ -279,9 +284,9 @@ let entry_of_comparison (c : Common.comparison) : entry =
       @ [ ("sycl-mlir", metrics_of c.Common.c_sycl_mlir) ];
     e_speedup = Common.speedup c.Common.c_base c.Common.c_sycl_mlir;
     e_pass_stats = Pass.Stats.to_list c.Common.c_sycl_mlir.Common.m_stats;
-    e_hotspots = top_hotspots w;
+    e_hotspots = top_hotspots ?sim_domains ?check_races ?cache_model w;
     e_compile = compile_of_comparison c;
-    e_cache = cache_of_workload w;
+    e_cache = cache_of_workload ?sim_domains ?check_races w;
   }
 
 (* Sweep every workload module through the compile service twice: round
@@ -338,12 +343,17 @@ let collect_service (workloads : Common.workload list) : service_metrics =
       float_of_int requests_total *. 1e6 /. float_of_int (max 1 wall_us);
   }
 
-let collect ~label (workloads : Common.workload list) : report =
+let collect ~label ?sim_domains ?check_races ?cache_model
+    (workloads : Common.workload list) : report =
   (* Sequence explicitly: record fields evaluate in unspecified order,
      and the measurements must not run against a registry frozen by the
      service sweep before the dialects initialized. *)
   let entries =
-    List.map (fun w -> entry_of_comparison (Common.compare_workload w)) workloads
+    List.map
+      (fun w ->
+        entry_of_comparison ?sim_domains ?check_races ?cache_model
+          (Common.compare_workload ?sim_domains ?check_races ?cache_model w))
+      workloads
   in
   let service = collect_service workloads in
   {

@@ -95,17 +95,36 @@ val metrics_of : Common.measurement -> config_metrics
 
 (** The workload's top-[n] (default 3) hotspot lines from an extra
     annotated SYCL-MLIR run of its located copy. *)
-val top_hotspots : ?n:int -> Common.workload -> hotspot list
+val top_hotspots :
+  ?n:int ->
+  ?sim_domains:int ->
+  ?check_races:bool ->
+  ?cache_model:Sycl_sim.Cost.cache_model ->
+  Common.workload ->
+  hotspot list
 
-val entry_of_comparison : Common.comparison -> entry
+val entry_of_comparison :
+  ?sim_domains:int ->
+  ?check_races:bool ->
+  ?cache_model:Sycl_sim.Cost.cache_model ->
+  Common.comparison ->
+  entry
 
 (** Sweep the workloads' modules through a fresh compile service twice
     (cold round + cached round) and snapshot its telemetry. *)
 val collect_service : Common.workload list -> service_metrics
 
 (** Measure every workload under the three configurations, plus the
-    compile-service sweep. *)
-val collect : label:string -> Common.workload list -> report
+    compile-service sweep. [sim_domains], [check_races] and [cache_model]
+    are passed to every simulator run (the cache section pins its own
+    model). *)
+val collect :
+  label:string ->
+  ?sim_domains:int ->
+  ?check_races:bool ->
+  ?cache_model:Sycl_sim.Cost.cache_model ->
+  Common.workload list ->
+  report
 
 val to_json : report -> string
 

@@ -102,9 +102,12 @@ exception Unsupported of string
 (** Compile and execute [w] under [cfg]; the measured run excludes JIT
     warm-up (the paper's methodology discards the first run).
     [instrumentations] are installed around every compile pass (how the
-    bench driver collects compile-phase timing for the merged trace). *)
-let measure ?(params = Cost.default) ?(instrumentations = [])
-    (cfg : Driver.config) (w : workload) : measurement =
+    bench driver collects compile-phase timing for the merged trace).
+    [sim_domains], [check_races] and [cache_model] are passed to every
+    {!Host_interp.run}. *)
+let measure ?(params = Cost.default) ?(instrumentations = []) ?sim_domains
+    ?check_races ?cache_model (cfg : Driver.config) (w : workload) :
+    measurement =
   if cfg.Driver.mode = Driver.Adaptive_cpp && not w.w_acpp_ok then
     raise (Unsupported w.w_name);
   let m = w.w_module () in
@@ -126,10 +129,15 @@ let measure ?(params = Cost.default) ?(instrumentations = [])
   (match cfg.Driver.mode with
   | Driver.Adaptive_cpp ->
     let args, _ = w.w_data () in
-    ignore (Host_interp.run ~params ?launch_hook ~jit_cycles ~module_op:m args)
+    ignore
+      (Host_interp.run ~params ?launch_hook ~jit_cycles ?sim_domains
+         ?check_races ?cache_model ~module_op:m args)
   | _ -> ());
   let args, validate = w.w_data () in
-  let result = Host_interp.run ~params ?launch_hook ~jit_cycles ~module_op:m args in
+  let result =
+    Host_interp.run ~params ?launch_hook ~jit_cycles ?sim_domains ?check_races
+      ?cache_model ~module_op:m args
+  in
   (* The measured run excludes the one-time JIT charge. *)
   let cycles = result.Host_interp.total_cycles - result.Host_interp.jit_cycles in
   {
@@ -159,14 +167,18 @@ type comparison = {
 let speedup (base : measurement) (m : measurement) =
   float_of_int base.m_cycles /. float_of_int (max 1 m.m_cycles)
 
-let compare_workload ?params (w : workload) : comparison =
-  let base = measure ?params (Driver.config Driver.Dpcpp) w in
+let compare_workload ?params ?sim_domains ?check_races ?cache_model
+    (w : workload) : comparison =
+  let measure cfg =
+    measure ?params ?sim_domains ?check_races ?cache_model (Driver.config cfg) w
+  in
+  let base = measure Driver.Dpcpp in
   let acpp =
-    match measure ?params (Driver.config Driver.Adaptive_cpp) w with
+    match measure Driver.Adaptive_cpp with
     | m -> if m.m_valid then Some m else None
     | exception Unsupported _ -> None
   in
-  let sycl_mlir = measure ?params (Driver.config Driver.Sycl_mlir) w in
+  let sycl_mlir = measure Driver.Sycl_mlir in
   { c_workload = w; c_base = base; c_acpp = acpp; c_sycl_mlir = sycl_mlir }
 
 let geomean xs =

@@ -388,13 +388,13 @@ let check_service_cache (w : Common.workload) :
    conservation checked on the way ([hits + misses] must equal the
    launch's global transactions exactly, and the per-op table must sum
    to the launch counters — {!Sycl_sim.Cache.conserves}). *)
-let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
+let cache_digest (w : Common.workload) ~cache_model ~(domains : int) :
     string =
   let module H = Common.Host_interp in
   let m = w.Common.w_module () in
   ignore (Pass.run_pipeline ~verify_each:false (full_pipeline ()) m);
   let args, validate = w.Common.w_data () in
-  let r = H.run ~sim_domains:domains ?cache_model ~module_op:m args in
+  let r = H.run ~sim_domains:domains ~cache_model ~module_op:m args in
   List.iter2
     (fun (kname, stats) (_, tab) ->
       match Sycl_sim.Cache.conserves tab stats with
@@ -408,9 +408,7 @@ let cache_digest (w : Common.workload) ?cache_model ~(domains : int) () :
 (** Cache-model coherence: under each non-flat model the cache counters
     conserve exactly on every launch and the full digest (launch stats,
     per-op cache tables, reuse histograms, metrics, buffers) is
-    byte-identical between the sequential and the 4-domain backend; an
-    explicit [--cache-model flat] is byte-identical to the default
-    (no-cache) run. *)
+    byte-identical between the sequential and the 4-domain backend. *)
 let check_cache_coherence ?(domains = 4) (w : Common.workload) :
     (unit, Difftest.failure) result =
   let name = w.Common.w_name in
@@ -421,41 +419,36 @@ let check_cache_coherence ?(domains = 4) (w : Common.workload) :
   in
   match
     let per_model model =
-      ( cache_digest w ~cache_model:model ~domains:1 (),
-        cache_digest w ~cache_model:model ~domains () )
+      ( cache_digest w ~cache_model:model ~domains:1,
+        cache_digest w ~cache_model:model ~domains )
     in
-    ( per_model Common.Cost.Direct_mapped,
-      per_model Common.Cost.Set_associative,
-      cache_digest w ~cache_model:Common.Cost.Flat ~domains:1 (),
-      cache_digest w ~domains:1 () )
+    (per_model Common.Cost.Direct_mapped, per_model Common.Cost.Set_associative)
   with
   | exception e ->
     fail (Printf.sprintf "execution raised %s" (Printexc.to_string e))
-  | (dm_seq, dm_par), (as_seq, as_par), flat, default -> (
+  | (dm_seq, dm_par), (as_seq, as_par) -> (
     let pair what reference subject =
       Difftest.check_deterministic ~oracle:"cache-coherence"
         ~what:(name ^ " " ^ what) ~reference ~subject ()
     in
     match pair "direct-mapped digest (1 vs N domains)" dm_seq dm_par with
     | Error _ as e -> e
-    | Ok () -> (
-      match pair "set-associative digest (1 vs N domains)" as_seq as_par with
-      | Error _ as e -> e
-      | Ok () ->
-        pair "flat digest (explicit flat vs default)" default flat))
+    | Ok () -> pair "set-associative digest (1 vs N domains)" as_seq as_par)
 
 (* ------------------------------------------------------------------ *)
-(* Oracle (h): worklist / legacy rewrite-driver equivalence            *)
+(* Oracle (h): worklist / legacy rewrite driver equivalence            *)
 (* ------------------------------------------------------------------ *)
 
 (** The worklist driver replaced the legacy bounded re-walk driver; on
     any module shallow enough for the legacy driver to actually converge
     (its silent [max_iterations] cutoff not hit), both must reach the
     same fixpoint — byte-identical printed IR under the canonicalize
-    pattern set. Modules where the legacy driver gives up early are
-    skipped: there the two drivers legitimately differ (that divergence
-    is the bug the worklist driver fixes, covered by the deep-chain
-    regression test). *)
+    pattern set. Modules where the legacy driver gives up early have no
+    converged reference: there the two drivers legitimately differ (that
+    divergence is the bug the worklist driver fixes, covered by the
+    deep-chain regression test). On every module, the worklist fixpoint
+    must also be idempotent: re-running the driver on its own re-parsed
+    output performs zero rewrites and prints the same module. *)
 let check_worklist_equivalence (w : Common.workload) :
     (unit, Difftest.failure) result =
   let name = w.Common.w_name in
@@ -470,18 +463,24 @@ let check_worklist_equivalence (w : Common.workload) :
     let legacy_m = Parser.parse_module text in
     let legacy_st = Rewrite.apply_greedily_legacy legacy_m patterns in
     let worklist_m = Parser.parse_module text in
-    let worklist_st = Rewrite.apply_worklist worklist_m patterns in
-    ( legacy_st, Printer.to_string legacy_m,
-      worklist_st, Printer.to_string worklist_m )
+    let worklist_st = Rewrite.apply_greedily worklist_m patterns in
+    let worklist_ir = Printer.to_string worklist_m in
+    let again_m = Parser.parse_module worklist_ir in
+    let again_st = Rewrite.apply_greedily again_m patterns in
+    ( legacy_st, Printer.to_string legacy_m, worklist_st, worklist_ir,
+      again_st, Printer.to_string again_m )
   with
   | exception e -> fail (Printf.sprintf "raised %s" (Printexc.to_string e)) None
-  | legacy_st, legacy_ir, worklist_st, worklist_ir ->
-    if not legacy_st.Rewrite.rw_converged then
-      (* Too deep for the bounded driver — no converged reference. *)
-      Ok ()
-    else if not worklist_st.Rewrite.rw_converged then
+  | legacy_st, legacy_ir, worklist_st, worklist_ir, again_st, again_ir ->
+    if not worklist_st.Rewrite.rw_converged then
       fail "worklist driver reported non-convergence" (Some worklist_ir)
-    else if legacy_ir <> worklist_ir then
+    else if again_st.Rewrite.rw_rewrites <> 0 || again_ir <> worklist_ir then
+      fail
+        (Printf.sprintf
+           "worklist fixpoint is not idempotent (%d rewrites on re-run)"
+           again_st.Rewrite.rw_rewrites)
+        (Some again_ir)
+    else if legacy_st.Rewrite.rw_converged && legacy_ir <> worklist_ir then
       fail "worklist fixpoint diverges from the converged legacy fixpoint"
         (Some worklist_ir)
     else Ok ()

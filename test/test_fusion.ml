@@ -184,6 +184,27 @@ let tests_list =
         Alcotest.(check int) "one launch fused" 1 fused.HI.kernel_launches;
         Alcotest.(check bool) "cheaper total" true
           (fused.HI.total_cycles < unfused.HI.total_cycles));
+    Alcotest.test_case "fused kernel names do not depend on earlier compiles"
+      `Quick (fun () ->
+        (* The same fusion program compiled twice in one process must
+           print byte-identically: the fused symbol comes from the module,
+           not from what the process fused before. *)
+        let w = Sycl_workloads.Extensions.elementwise_chain ~n:64 in
+        let compile () =
+          let m = w.Sycl_workloads.Common.w_module () in
+          let cfg =
+            Sycl_core.Driver.config ~enable_fusion:true Sycl_core.Driver.Sycl_mlir
+          in
+          (Sycl_core.Driver.compile cfg m).Sycl_core.Driver.joint
+        in
+        let first = compile () in
+        Alcotest.(check bool) "a kernel was fused" true
+          (List.exists
+             (fun f -> String.ends_with ~suffix:"_fused1" (Core.func_sym f))
+             (Core.funcs first));
+        let second = compile () in
+        Alcotest.(check string) "byte-identical recompile"
+          (Printer.to_string first) (Printer.to_string second));
     Alcotest.test_case "fusion applies inside host Repeat loops" `Quick (fun () ->
         (* A ping-pong pair submitted in a host loop: each iteration's two
            element-wise kernels fuse (the fused kernel is reused across

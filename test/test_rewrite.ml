@@ -224,7 +224,7 @@ let tests_list =
           (Rewrite.apply_greedily_legacy ml Sycl_core.Canonicalize.patterns)
             .Rewrite.rw_ops_visited
         in
-        let st = Rewrite.apply_worklist m Sycl_core.Canonicalize.patterns in
+        let st = Rewrite.apply_greedily m Sycl_core.Canonicalize.patterns in
         check_bool "true fixpoint" true st.Rewrite.rw_converged;
         check_int "whole chain erased" 40 st.Rewrite.rw_rewrites;
         check_int "no dead ops left" 0 (Helpers.count_ops f "arith.addi");
@@ -247,50 +247,29 @@ let tests_list =
     Alcotest.test_case "worklist cap raises a loud diagnostic instead of stopping"
       `Quick (fun () ->
         let m, _f = dead_chain_module 12 in
-        match Rewrite.apply_worklist ~cap:3 m Sycl_core.Canonicalize.patterns with
+        match Rewrite.apply_greedily ~cap:3 m Sycl_core.Canonicalize.patterns with
         | _ -> Alcotest.fail "expected Cap_exceeded"
         | exception Rewrite.Cap_exceeded { scope; rewrites; cap } ->
           check_int "cap echoed" 3 cap;
           check_bool "rewrite count past the cap" true (rewrites > cap);
           check_bool "scope names the rewritten region" true
             (scope = "builtin.module"));
-    Alcotest.test_case "GEMM pipeline: worklist visits fewer ops, byte-identical result"
+    Alcotest.test_case "GEMM pipeline output is a canonicalize fixpoint"
       `Quick (fun () ->
-        (* Full sycl-mlir pipeline on the GEMM workload under both
-           drivers: same final module byte-for-byte, strictly fewer
-           canonicalize visits from the worklist (the gated bench
-           counter). *)
+        (* Full sycl-mlir pipeline on the GEMM workload, then canonicalize
+           once more on the re-parsed output: a true fixpoint performs no
+           rewrite and prints the same module byte-for-byte. *)
         let w = Sycl_workloads.Polybench.gemm ~n:8 in
-        let compile_with driver =
-          let saved = Rewrite.get_default_driver () in
-          Rewrite.set_default_driver driver;
-          Fun.protect
-            ~finally:(fun () -> Rewrite.set_default_driver saved)
-            (fun () ->
-              let m = w.Sycl_workloads.Common.w_module () in
-              let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
-              let r = Sycl_core.Driver.compile cfg m in
-              let stats = Pass.merged_stats r.Sycl_core.Driver.pipeline_result in
-              ( Pass.Stats.get stats "canonicalize/canonicalize.ops_visited",
-                Pass.Stats.get stats "canonicalize/rewrites",
-                Printer.to_string r.Sycl_core.Driver.joint ))
-        in
-        let l_visits, l_rewrites, l_ir = compile_with Rewrite.Legacy in
-        let w_visits, w_rewrites, w_ir = compile_with Rewrite.Worklist in
-        check_int "same rewrites under both drivers" l_rewrites w_rewrites;
-        check_bool
-          (Printf.sprintf "worklist visits fewer ops (legacy %d, worklist %d)"
-             l_visits w_visits)
-          true (w_visits < l_visits);
-        check_bool "byte-identical compiled module" true (l_ir = w_ir));
-    Alcotest.test_case "driver flag round-trips and defaults to worklist" `Quick
-      (fun () ->
-        check_bool "default" true (Rewrite.get_default_driver () = Rewrite.Worklist);
-        check_bool "worklist parses" true
-          (Rewrite.driver_of_string "worklist" = Some Rewrite.Worklist);
-        check_bool "legacy parses" true
-          (Rewrite.driver_of_string "legacy" = Some Rewrite.Legacy);
-        check_bool "unknown rejected" true (Rewrite.driver_of_string "bogus" = None));
+        let m = w.Sycl_workloads.Common.w_module () in
+        let cfg = Sycl_core.Driver.config Sycl_core.Driver.Sycl_mlir in
+        let r = Sycl_core.Driver.compile cfg m in
+        let text = Printer.to_string r.Sycl_core.Driver.joint in
+        let again = Parser.parse_module text in
+        let stats = run_pass Sycl_core.Canonicalize.pass again in
+        check_int "no rewrite on the compiled module" 0
+          (Pass.Stats.get stats "rewrites");
+        check_bool "byte-identical after re-canonicalization" true
+          (Printer.to_string again = text));
     (* --- CSE structural key: interned, printer-consistent attributes. --- *)
     Alcotest.test_case "CSE keeps 0.0 and -0.0 constants distinct" `Quick (fun () ->
         (* Polymorphic compare says 0.0 = -0.0, so the seed key merged
